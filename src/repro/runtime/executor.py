@@ -43,6 +43,7 @@ from ..gpu.launch import LaunchConfig, launch
 from ..gpu.timing import TimingEstimate, estimate_time
 from ..ir.types import DataType
 from ..trace import core as _trace_core
+from .vectorized import _bind_inputs
 
 # ---------------------------------------------------------------------------
 # Functional SIMT simulation
@@ -79,12 +80,7 @@ def run_pipeline_simt(
     out-of-bounds border access traps even when it would land inside another
     image's buffer (see :class:`repro.gpu.memory.GlobalMemory`).
     """
-    images: dict[str, np.ndarray] = {}
-    for img in pipeline.inputs:
-        if inputs is not None and img.name in inputs:
-            images[img.name] = np.asarray(inputs[img.name], dtype=np.float32)
-        else:
-            images[img.name] = img.host
+    images = _bind_inputs(pipeline, inputs)
 
     descs = [trace_kernel(k) for k in pipeline]
     if memory_bytes is None:

@@ -36,11 +36,12 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
 from ..compiler.frontend import KernelDescription, trace_kernel
+from ..dsl.accessor import Accessor
 from ..dsl.boundary import Boundary
 from ..faults import core as _faults
 from ..faults.core import FaultError
@@ -244,16 +245,24 @@ def _map_axis(
 
 
 class _RegionEvaluator:
-    """Evaluates the expression tree for one output region."""
+    """Evaluates the expression tree for one output rectangle.
+
+    ``sources`` maps every accessor of ``desc`` to ``(array, ox, oy)``:
+    image pixel ``(x, y)`` sits at ``array[..., y - oy, x - ox]``. That
+    lookup is the only thing the host executors differ in — staged inputs
+    sit at origin ``(0, 0)``, pre-padded buffers at ``(-hx, -hy)`` (their
+    rects are all check-free, the apron already holds the border) and fused
+    per-tile stage buffers at their region origin.
+    """
 
     def __init__(
         self,
         desc: KernelDescription,
-        images: dict[str, np.ndarray],
+        sources: dict[Accessor, tuple[np.ndarray, int, int]],
         rect: _RegionRect,
     ):
         self.desc = desc
-        self.images = images
+        self.sources = sources
         self.rect = rect
         self._memo: dict[int, np.ndarray] = {}
 
@@ -299,9 +308,9 @@ class _RegionEvaluator:
 
     def _eval_access(self, access: PixelAccess) -> np.ndarray:
         rect = self.rect
-        img = self.images[access.accessor.image.name]
-        h, w = img.shape[-2:]
-        boundary = access.accessor.boundary
+        acc = access.accessor
+        arr, ox, oy = self.sources[acc]
+        boundary = acc.boundary
 
         check_left = "left" in rect.checks and access.dx < 0
         check_right = "right" in rect.checks and access.dx > 0
@@ -312,28 +321,41 @@ class _RegionEvaluator:
             # Body fast path: a pure slice — the host analogue of the
             # check-free Body region code. The ellipsis carries any leading
             # batch axes through untouched.
-            return img[
-                ...,
-                rect.y0 + access.dy : rect.y1 + access.dy,
-                rect.x0 + access.dx : rect.x1 + access.dx,
-            ]
+            y0 = rect.y0 + access.dy - oy
+            y1 = rect.y1 + access.dy - oy
+            x0 = rect.x0 + access.dx - ox
+            x1 = rect.x1 + access.dx - ox
+            # Negative slice bounds would silently wrap to the array's far
+            # side; the source must cover every check-free read.
+            assert (0 <= y0 and y1 <= arr.shape[-2]
+                    and 0 <= x0 and x1 <= arr.shape[-1]), (
+                f"source under-covers {access!r}: "
+                f"[{y0}:{y1}, {x0}:{x1}] in {arr.shape[-2:]}"
+            )
+            return arr[..., y0:y1, x0:x1]
 
+        # Border mapping runs against the full image, then translates into
+        # the source array.
         xs = np.arange(rect.x0 + access.dx, rect.x1 + access.dx)
         ys = np.arange(rect.y0 + access.dy, rect.y1 + access.dy)
-        xs, vx = _map_axis(xs, w, boundary, check_left, check_right)
-        ys, vy = _map_axis(ys, h, boundary, check_top, check_bottom)
+        xs, vx = _map_axis(xs, self.desc.width, boundary,
+                           check_left, check_right)
+        ys, vy = _map_axis(ys, self.desc.height, boundary,
+                           check_top, check_bottom)
+        xs = xs - ox
+        ys = ys - oy
         if boundary is not Boundary.UNDEFINED:
             # A mapping applied on one side must never push the coordinate
             # out the *opposite* side, and an axis the region does not check
             # must already be in bounds — fancy indexing would silently wrap
             # a violation to the wrong pixel instead of failing.
-            assert xs.size == 0 or (xs.min() >= 0 and xs.max() < w), (
-                f"{boundary.value} x-mapping out of bounds for {access!r}"
-            )
-            assert ys.size == 0 or (ys.min() >= 0 and ys.max() < h), (
-                f"{boundary.value} y-mapping out of bounds for {access!r}"
-            )
-        values = img[..., ys[:, None], xs[None, :]]
+            assert xs.size == 0 or (
+                xs.min() >= 0 and xs.max() < arr.shape[-1]
+            ), f"{boundary.value} x-mapping out of bounds for {access!r}"
+            assert ys.size == 0 or (
+                ys.min() >= 0 and ys.max() < arr.shape[-2]
+            ), f"{boundary.value} y-mapping out of bounds for {access!r}"
+        values = arr[..., ys[:, None], xs[None, :]]
         if vx is not None or vy is not None:
             valid = np.ones((ys.size, xs.size), dtype=bool)
             if vy is not None:
@@ -341,39 +363,27 @@ class _RegionEvaluator:
             if vx is not None:
                 valid &= vx[None, :]
             values = np.where(
-                valid, values, np.float32(access.accessor.constant)
+                valid, values, np.float32(acc.constant)
             ).astype(np.float32)
         return values
 
 
-class _PrepadEvaluator(_RegionEvaluator):
-    """The raw-speed tier's evaluator: every access is a pure slice into a
-    pre-padded buffer at offset ``(hx, hy)`` — the check-free Body code
-    shape applied to the *whole* image, which is only sound because
-    :func:`~repro.runtime.make_border.make_border` already materialized
-    every pattern's mapping into the apron.
-    """
-
-    def __init__(
-        self,
-        desc: KernelDescription,
-        pads: dict,
-        rect: _RegionRect,
-    ):
-        super().__init__(desc, {}, rect)
-        self.pads = pads
-        self.hx, self.hy = desc.extent
-
-    def _eval_access(self, access: PixelAccess) -> np.ndarray:
-        acc = access.accessor
-        img = self.pads[(acc.image.name, acc.boundary.value,
-                         float(acc.constant))]
-        rect = self.rect
-        return img[
-            ...,
-            rect.y0 + access.dy + self.hy : rect.y1 + access.dy + self.hy,
-            rect.x0 + access.dx + self.hx : rect.x1 + access.dx + self.hx,
-        ]
+def _fill_rects(
+    desc: KernelDescription,
+    sources: dict[Accessor, tuple[np.ndarray, int, int]],
+    rects: list[_RegionRect],
+    out: np.ndarray,
+    ox: int = 0,
+    oy: int = 0,
+) -> None:
+    """Evaluate ``desc`` over every rect into ``out``, which holds output
+    pixel ``(x, y)`` at ``out[..., y - oy, x - ox]``."""
+    lead = out.shape[:-2]
+    for rect in rects:
+        value = _RegionEvaluator(desc, sources, rect).eval(desc.expr)
+        out[..., rect.y0 - oy : rect.y1 - oy, rect.x0 - ox : rect.x1 - ox] = (
+            np.broadcast_to(value, (*lead, rect.y1 - rect.y0, rect.x1 - rect.x0))
+        )
 
 
 def _split_rows(rects: list[_RegionRect], tile_rows: int) -> list[_RegionRect]:
@@ -399,32 +409,52 @@ def _split_rows(rects: list[_RegionRect], tile_rows: int) -> list[_RegionRect]:
 
 
 def _lead_shape(
-    desc: KernelDescription, images: dict[str, np.ndarray]
+    images: dict[str, np.ndarray],
+    names: Iterable[str],
+    height: int,
+    width: int,
 ) -> tuple[int, ...]:
-    """Common leading (batch) shape of every accessed input.
+    """Common leading (batch) shape of the named inputs.
 
-    Plain single-image execution has the empty leading shape; an
-    ``(N, H, W)`` stack leads with ``(N,)``. Mixed leading shapes across
-    inputs are rejected — one kernel call is one batch.
+    Every input must be ``(..., height, width)``: the kernel geometry, not
+    the array, fixes the iteration space. Plain single-image execution has
+    the empty leading shape; an ``(N, H, W)`` stack leads with ``(N,)``.
+    Mixed leading shapes across inputs are rejected — one kernel call is
+    one batch.
     """
     lead: Optional[tuple[int, ...]] = None
-    for acc in desc.accessors:
-        img = images[acc.image.name]
-        # rank via shape, not .ndim: the sanitizer's canary wrappers are
+    for name in names:
+        if name not in images:
+            raise ValueError(f"missing input {name!r}")
+        # shape only, not .ndim: the sanitizer's canary wrappers are
         # duck-typed images exposing only shape/__getitem__
-        if len(img.shape) < 2:
+        shape = tuple(images[name].shape)
+        if shape[-2:] != (height, width):
             raise ValueError(
-                f"input {acc.image.name!r} must be (..., H, W), "
-                f"got shape {img.shape}"
+                f"input {name!r} shape {shape} != (..., {height}, {width})"
             )
         if lead is None:
-            lead = img.shape[:-2]
-        elif img.shape[:-2] != lead:
+            lead = shape[:-2]
+        elif shape[:-2] != lead:
             raise ValueError(
                 f"inconsistent batch shapes across inputs: {lead} vs "
-                f"{img.shape[:-2]} for {acc.image.name!r}"
+                f"{shape[:-2]} for {name!r}"
             )
     return lead if lead is not None else ()
+
+
+def _bind_inputs(
+    pipeline: Pipeline, inputs: Optional[dict[str, np.ndarray]]
+) -> dict[str, np.ndarray]:
+    """Pipeline inputs by name: from ``inputs`` (as float32) where given,
+    else the image's bound host data."""
+    images: dict[str, np.ndarray] = {}
+    for img in pipeline.inputs:
+        if inputs is not None and img.name in inputs:
+            images[img.name] = np.asarray(inputs[img.name], dtype=np.float32)
+        else:
+            images[img.name] = img.host
+    return images
 
 
 def run_kernel_vectorized(
@@ -473,9 +503,9 @@ def run_kernel_vectorized(
                 raise FaultError("runtime.vectorized.kernel", act.kind)
     h, w = desc.height, desc.width
     hx, hy = desc.extent
-    lead = _lead_shape(desc, images)
+    lead = _lead_shape(images, [a.image.name for a in desc.accessors], h, w)
     out = np.empty((*lead, h, w), dtype=np.float32)
-    pads: Optional[dict] = None
+    sources = {acc: (images[acc.image.name], 0, 0) for acc in desc.accessors}
     checks = set()
     if hx > 0:
         checks |= {"left", "right"}
@@ -497,34 +527,26 @@ def run_kernel_vectorized(
         # No degenerate fallback: the total mappings in make_border handle
         # any apron depth, over-wide windows included.
         rects = [_RegionRect(0, w, 0, h, frozenset())]
-        pads = {}
+        pads: dict[tuple, np.ndarray] = {}
         for acc in desc.accessors:
             key = (acc.image.name, acc.boundary.value, float(acc.constant))
-            if key in pads:
-                continue
-            # UNDEFINED promises every tap stays in bounds, so the apron's
-            # values are unobservable — CLAMP is an in-bounds-sound stand-in
-            # that keeps the gather total.
-            boundary = acc.boundary
-            if boundary is Boundary.UNDEFINED:
-                boundary = Boundary.CLAMP
-            pads[key] = padded_for(
-                images, acc.image.name, hx, hy, boundary,
-                float(acc.constant), cache=pad_cache,
-            )
+            if key not in pads:
+                # UNDEFINED promises every tap stays in bounds, so the
+                # apron's values are unobservable — CLAMP is an
+                # in-bounds-sound stand-in that keeps the gather total.
+                boundary = acc.boundary
+                if boundary is Boundary.UNDEFINED:
+                    boundary = Boundary.CLAMP
+                pads[key] = padded_for(
+                    images, acc.image.name, hx, hy, boundary,
+                    float(acc.constant), cache=pad_cache,
+                )
+            sources[acc] = (pads[key], -hx, -hy)
     else:
         raise ValueError(f"unknown vectorized variant {variant!r}")
     if tile_rows is not None:
         rects = _split_rows(rects, tile_rows)
-    for rect in rects:
-        if pads is not None:
-            ev: _RegionEvaluator = _PrepadEvaluator(desc, pads, rect)
-        else:
-            ev = _RegionEvaluator(desc, images, rect)
-        value = ev.eval(desc.expr)
-        out[..., rect.y0 : rect.y1, rect.x0 : rect.x1] = np.broadcast_to(
-            value, (*lead, rect.y1 - rect.y0, rect.x1 - rect.x0)
-        )
+    _fill_rects(desc, sources, rects, out)
     if trace_ctx is not None:
         tracer, parent = trace_ctx
         tracer.record_span(
@@ -550,14 +572,9 @@ def run_pipeline_vectorized(
     pattern is padded exactly once for the whole pipeline. Pass
     ``pad_cache`` to extend that reuse across *calls* on the same inputs.
     """
-    images: dict[str, np.ndarray] = {}
+    images = _bind_inputs(pipeline, inputs)
     if variant == "prepad" and pad_cache is None:
         pad_cache = {}
-    for img in pipeline.inputs:
-        if inputs is not None and img.name in inputs:
-            images[img.name] = np.asarray(inputs[img.name], dtype=np.float32)
-        else:
-            images[img.name] = img.host
     for kernel in pipeline:
         desc = trace_kernel(kernel)
         images[desc.output_name] = run_kernel_vectorized(

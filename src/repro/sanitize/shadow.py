@@ -15,9 +15,9 @@ missed still traps instead of silently corrupting pixels:
   kernels against *canary-padded* images: each buffer is embedded in a NaN
   ring wide enough to absorb any plausible coordinate error, so a mis-mapped
   coordinate reads NaN and poisons the output, which is then scanned.  The
-  region evaluator's own in-bounds assertions fire first for fancy-indexed
-  border taps; the canary additionally covers the check-free Body fast path,
-  whose plain slices would otherwise wrap silently on a negative start.
+  region evaluator's own in-bounds assertions fire first, on fancy-indexed
+  border taps and check-free Body slices alike; the canary is the backstop
+  for any read they do not cover.
   Inputs must be NaN-free for the scan to be meaningful (asserted).
 
 Both entry points return a :class:`ShadowReport` instead of raising, so the

@@ -240,7 +240,7 @@ class ExecutionPlan:
         """Kernel-level batched execution: one ``(N, H, W)`` stack, one call.
 
         Every stage evaluates the whole batch in a single NumPy expression
-        (the leading axis rides through the region evaluators), so N
+        (the leading axis rides through the region evaluator), so N
         same-signature requests pay the Python/plan overhead once instead
         of N times. Plans and their cache digests are batch-agnostic: the
         same cached plan serves N=1 and N=8 — batch size is an execution-
@@ -289,32 +289,14 @@ class ExecutionPlan:
         if len(compiled) == 1 and isinstance(compiled[0], CompiledFusedKernel):
             # One megakernel for the whole pipeline: intermediates live in
             # shared memory, so only the final output touches global.
-            cfk = compiled[0]
-            out_base = mem.alloc(cfk.plan.width * cfk.plan.height * 4)
-            bases[cfk.plan.output_name] = out_base
-            prof = Profiler(cost_table_for(self.device))
-            t0 = time.perf_counter()
-            launch(cfk.func, cfk.launch_config, mem, cfk.param_values(bases),
-                   prof, abort=abort)
-            if _trace_core._current is not None:
-                ctx = _trace_core.current_context()
-                if ctx is not None:
-                    tracer, parent = ctx
-                    tracer.record_span(
-                        f"launch:{cfk.name}", parent,
-                        t0, time.perf_counter(),
-                        variant="fused",
-                        warp_instructions=prof.warp_instructions,
-                        regions=prof.region_totals(),
-                        events=prof.event_totals(),
-                    )
-            if collect is not None:
-                collect.append((cfk.name, "fused", prof))
-            return mem.read_array(
-                out_base, (cfk.plan.height, cfk.plan.width), DataType.F32
-            )
-
-        for desc, ck in zip(self.descs, compiled):
+            launches = [(compiled[0].name, "fused", self.descs[-1],
+                         compiled[0])]
+        else:
+            launches = [
+                (desc.name, self.kernel_variants[desc.output_name], desc, ck)
+                for desc, ck in zip(self.descs, compiled)
+            ]
+        for name, variant, desc, ck in launches:
             out_base = mem.alloc(desc.width * desc.height * 4)
             bases[desc.output_name] = out_base
             prof = Profiler(cost_table_for(self.device))
@@ -326,17 +308,15 @@ class ExecutionPlan:
                 if ctx is not None:
                     tracer, parent = ctx
                     tracer.record_span(
-                        f"launch:{desc.name}", parent,
+                        f"launch:{name}", parent,
                         t0, time.perf_counter(),
-                        variant=self.kernel_variants[desc.output_name],
+                        variant=variant,
                         warp_instructions=prof.warp_instructions,
                         regions=prof.region_totals(),
                         events=prof.event_totals(),
                     )
             if collect is not None:
-                collect.append(
-                    (desc.name, self.kernel_variants[desc.output_name], prof)
-                )
+                collect.append((name, variant, prof))
             images[desc.output_name] = mem.read_array(
                 out_base, (desc.height, desc.width), DataType.F32
             )

@@ -14,9 +14,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compiler import Variant, trace_kernel
-from repro.dsl import Boundary, Pipeline
+from repro.dsl import (
+    Accessor,
+    Boundary,
+    BoundaryCondition,
+    Image,
+    IterationSpace,
+    Kernel,
+    Mask,
+    Pipeline,
+)
 from repro.filters.reference import correlate
-from repro.runtime import run_kernel_vectorized, run_pipeline_simt
+from repro.runtime import (
+    run_kernel_vectorized,
+    run_pipeline_fused,
+    run_pipeline_simt,
+)
 from tests.conftest import make_conv_kernel
 
 PATTERNS = [Boundary.CLAMP, Boundary.MIRROR, Boundary.REPEAT, Boundary.CONSTANT]
@@ -142,6 +155,44 @@ class TestPrepadEdges:
                 ref = correlate(src, coeffs, pattern, 0.5)
                 assert np.array_equal(prepad, naive), (pattern, w, h)
                 assert np.abs(prepad - ref).max() < 1e-5, (pattern, w, h)
+
+
+    def test_one_image_under_two_patterns(self):
+        """One input read under clamp and under constant in one kernel: the
+        pre-padded mode pads it once per pattern and every executor,
+        fused included, must read each tap through its own pattern."""
+        inp, out = Image(20, 20, "inp"), Image(20, 20, "out")
+        coeffs = np.random.default_rng(5).uniform(-1, 1, (5, 3)).astype(
+            np.float32)
+        mask = Mask(coeffs)
+        clamp = Accessor(BoundaryCondition(inp, Boundary.CLAMP))
+        const = Accessor(BoundaryCondition(inp, Boundary.CONSTANT, 0.5))
+
+        class TwoPatterns(Kernel):
+            def __init__(self):
+                super().__init__(IterationSpace(out))
+                self.add_accessor(clamp)
+                self.add_accessor(const)
+
+            def kernel(self):
+                return (self.convolve(mask, clamp)
+                        + self.convolve(mask, const))
+
+        src = np.random.default_rng(6).random((20, 20)).astype(np.float32)
+        desc = trace_kernel(TwoPatterns())
+        assert len(desc.accessors) == 2
+        naive = run_kernel_vectorized(desc, {"inp": src}, variant="naive")
+        for variant in ("isp", "isp_warp", "prepad"):
+            got = run_kernel_vectorized(desc, {"inp": src}, variant=variant)
+            assert np.array_equal(got, naive), variant
+        fused = run_pipeline_fused(
+            Pipeline("two", [TwoPatterns()]), {"inp": src},
+            tile_rows=8, tile_cols=8,
+        )
+        assert np.array_equal(fused, naive)
+        ref = (correlate(src, coeffs, Boundary.CLAMP)
+               + correlate(src, coeffs, Boundary.CONSTANT, 0.5))
+        assert np.abs(naive - ref).max() < 1e-5
 
 
 class TestTextureDifferential:

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gpu import GlobalMemory, LaunchConfig, Profiler, launch
-from repro.gpu.simt import WARP_SIZE, SimtError, _apply, _trunc_div, _trunc_rem
+from repro.gpu import GTX680, GlobalMemory, LaunchConfig, Profiler, launch
+from repro.gpu.simt import SimtError, _apply, _trunc_div, _trunc_rem
 from repro.ir import (
     CmpOp,
     DataType,
@@ -20,6 +20,8 @@ from repro.ir import (
 )
 
 i32 = st.integers(min_value=-(2**31), max_value=2**31 - 1)
+
+LANES = GTX680.warp_size
 
 
 class TestIntegerSemantics:
@@ -52,9 +54,9 @@ class TestIntegerSemantics:
             Opcode.ADD, DataType.S32, Register("d", DataType.S32),
             [Register("a", DataType.S32), Register("b", DataType.S32)],
         )
-        a = np.full(WARP_SIZE, 2**31 - 1, dtype=np.int32)
-        b = np.ones(WARP_SIZE, dtype=np.int32)
-        out = _apply(instr, [a, b], np.ones(WARP_SIZE, bool))
+        a = np.full(LANES, 2**31 - 1, dtype=np.int32)
+        b = np.ones(LANES, dtype=np.int32)
+        out = _apply(instr, [a, b], np.ones(LANES, bool))
         assert out[0] == -(2**31)
 
 
@@ -65,8 +67,8 @@ class TestFloatSemantics:
             Opcode.EX2, DataType.F32, Register("d", DataType.F32),
             [Register("a", DataType.F32)],
         )
-        a = np.full(WARP_SIZE, x, dtype=np.float32)
-        out = _apply(instr, [a], np.ones(WARP_SIZE, bool))
+        a = np.full(LANES, x, dtype=np.float32)
+        out = _apply(instr, [a], np.ones(LANES, bool))
         assert np.allclose(out, np.exp2(np.float32(x)), rtol=1e-6)
 
     def test_cvt_f32_to_s32_truncates(self):
@@ -75,7 +77,7 @@ class TestFloatSemantics:
             [Register("a", DataType.F32)], src_dtype=DataType.F32,
         )
         a = np.array([1.9, -1.9, 0.5, -0.5] * 8, dtype=np.float32)
-        out = _apply(instr, [a], np.ones(WARP_SIZE, bool))
+        out = _apply(instr, [a], np.ones(LANES, bool))
         assert list(out[:4]) == [1, -1, 0, 0]
 
     def test_selp(self):
@@ -84,11 +86,11 @@ class TestFloatSemantics:
             [Register("a", DataType.F32), Register("b", DataType.F32),
              Register("p", DataType.PRED)],
         )
-        a = np.full(WARP_SIZE, 1.0, np.float32)
-        b = np.full(WARP_SIZE, 2.0, np.float32)
-        p = np.zeros(WARP_SIZE, bool)
+        a = np.full(LANES, 1.0, np.float32)
+        b = np.full(LANES, 2.0, np.float32)
+        p = np.zeros(LANES, bool)
         p[::2] = True
-        out = _apply(instr, [a, b, p], np.ones(WARP_SIZE, bool))
+        out = _apply(instr, [a, b, p], np.ones(LANES, bool))
         assert np.all(out[::2] == 1.0) and np.all(out[1::2] == 2.0)
 
 

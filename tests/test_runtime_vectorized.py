@@ -6,7 +6,12 @@ import pytest
 from repro.compiler import trace_kernel
 from repro.dsl import Boundary
 from repro.filters import PIPELINES, REFERENCES
-from repro.runtime import run_kernel_vectorized, run_pipeline_vectorized
+from repro.runtime import (
+    VECTORIZED_VARIANTS,
+    run_kernel_vectorized,
+    run_pipeline_fused,
+    run_pipeline_vectorized,
+)
 from repro.runtime.vectorized import _map_axis, _pixel_regions
 from tests.conftest import make_conv_kernel
 
@@ -76,6 +81,21 @@ class TestRegionDecomposition:
             96, 96, Boundary.CLAMP, np.ones((3, 3), np.float32)))
         with pytest.raises(ValueError, match="unknown vectorized variant"):
             run_kernel_vectorized(desc, {"inp": src96}, variant="turbo")
+
+
+class TestInputGeometry:
+    """An input whose (H, W) differs from the kernel geometry is rejected
+    by every host executor, not silently cropped."""
+
+    @pytest.mark.parametrize("variant", [*VECTORIZED_VARIANTS, "fused"])
+    def test_mismatched_input_shape_raises(self, variant):
+        pipe = PIPELINES["gaussian"](64, 64, Boundary.CLAMP, 0.0)
+        src = np.random.default_rng(4).random((80, 80)).astype(np.float32)
+        with pytest.raises(ValueError, match=r"\(\.\.\., 64, 64\)"):
+            if variant == "fused":
+                run_pipeline_fused(pipe, {"inp": src})
+            else:
+                run_pipeline_vectorized(pipe, {"inp": src}, variant=variant)
 
 
 class TestAxisMapping:
