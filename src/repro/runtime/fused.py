@@ -4,13 +4,13 @@ Replays the geometry-only schedule built by
 :func:`repro.compiler.fusion.fuse_descs`: for each output tile, every live
 stage evaluates just the region its consumers read into a small per-tile
 buffer, so no full-image intermediate is ever materialized. Each step runs
-the staged executor's own region evaluator, with the per-tile stage buffers
-as sources at their region origin: check-free sub-rectangles slice, and
-sub-rectangles touching a true image border go through the same border
-mapping. That is what makes fused output bit-exact against staged — both
-select source pixels identically, and every arithmetic node is an
-elementwise float32 NumPy op whose value is independent of the evaluation
-footprint.
+the staged executor's own lowered program (:func:`repro.runtime.vectorized
+.lower_kernel`), with the per-tile stage buffers as sources at their region
+origin: check-free sub-rectangles slice, and sub-rectangles touching a true
+image border go through the same border mapping. That is what makes fused
+output bit-exact against staged — both select source pixels identically,
+and every arithmetic op is an elementwise float32 ufunc whose value is
+independent of the evaluation footprint.
 
 Like every other executor here, the fused path is batch-aware: leading axes
 on the external inputs carry through each per-tile buffer untouched.

@@ -30,13 +30,29 @@ bench_wallclock_vectorized.py`` times it with pytest-benchmark.
 Every variant is batch-aware: images may carry leading axes (``(N, H, W)``),
 which evaluate in one NumPy call per tap — the kernel-level batching the
 serve engine stacks same-signature requests into.
+
+The evaluator itself is compiled once per kernel. :func:`lower_kernel`
+lowers ``desc.expr`` to a straight-line op list — a post-order walk by node
+identity, so a shared subexpression is one op; constant-only subtrees fold
+to the NumPy scalars they always evaluated to; each pixel access becomes a
+*load* (a slice view for an unchecked tap, else row and column takes
+through the border mapping). Every other op is the same float32 ufunc as
+always, run with ``out=`` into a slab of a per-thread scratch arena picked
+by liveness (an op overwrites an operand that dies at it), and the final op
+writes straight into the output. Each rect runs in row bands of at most
+:data:`BAND_ELEMS` elements, so a slab is a small cache-resident flat
+buffer reshaped per band, and a warm request allocates little beyond its
+output. Same ops in the same dtype on the same pixels: results are
+bit-identical to evaluating the tree directly.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
+import threading
 import time
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -49,20 +65,6 @@ from ..trace import core as _trace_core
 from ..dsl.expr import BinOp, Const, Expr, PixelAccess, UnOp
 from ..dsl.pipeline import Pipeline
 
-_UN_FUNCS = {
-    "neg": lambda x: -x,
-    "abs": np.abs,
-    "sqrt": np.sqrt,
-    "rsqrt": lambda x: np.float32(1.0) / np.sqrt(x),
-    "rcp": lambda x: np.float32(1.0) / x,
-    "exp": np.exp,
-    "exp2": np.exp2,
-    "log": np.log,
-    "log2": np.log2,
-    "sin": np.sin,
-    "cos": np.cos,
-}
-
 _BIN_FUNCS = {
     "add": np.add,
     "sub": np.subtract,
@@ -71,6 +73,29 @@ _BIN_FUNCS = {
     "min": np.minimum,
     "max": np.maximum,
 }
+
+_ONE = np.float32(1.0)
+
+#: Each unary op as ufunc steps applied in order, each ``(ufunc, leading
+#: constant or None)``: ``rsqrt`` is ``sqrt`` then ``1/x``, ``rcp`` is
+#: ``1/x``.
+_UN_STEPS = {
+    "neg": ((np.negative, None),),
+    "abs": ((np.absolute, None),),
+    "sqrt": ((np.sqrt, None),),
+    "rsqrt": ((np.sqrt, None), (np.divide, _ONE)),
+    "rcp": ((np.divide, _ONE),),
+    "exp": ((np.exp, None),),
+    "exp2": ((np.exp2, None),),
+    "log": ((np.log, None),),
+    "log2": ((np.log2, None),),
+    "sin": ((np.sin, None),),
+    "cos": ((np.cos, None),),
+}
+
+#: Elements (batch axes included) one band evaluates at once: 64K float32
+#: is 256 KiB per temporary, small enough to stay cache-resident.
+BAND_ELEMS = 1 << 16
 
 
 @dataclasses.dataclass(frozen=True)
@@ -244,128 +269,254 @@ def _map_axis(
     raise AssertionError(f"unhandled boundary {boundary}")
 
 
-class _RegionEvaluator:
-    """Evaluates the expression tree for one output rectangle.
+class _Op(NamedTuple):
+    """One step of a lowered kernel program.
 
-    ``sources`` maps every accessor of ``desc`` to ``(array, ox, oy)``:
-    image pixel ``(x, y)`` sits at ``array[..., y - oy, x - ox]``. That
-    lookup is the only thing the host executors differ in — staged inputs
-    sit at origin ``(0, 0)``, pre-padded buffers at ``(-hx, -hy)`` (their
-    rects are all check-free, the apron already holds the border) and fused
-    per-tile stage buffers at their region origin.
+    A *load* (``access`` set) reads one pixel access for the band into
+    value ``dst``: a slice view of the source, or a fresh gather. Any other
+    op applies the ufunc ``fn`` to values ``args`` with ``out=`` arena slab
+    ``slab`` (``-1``: the output itself). ``free`` names the loads whose
+    last use is this op, so their gathers are released at once.
     """
 
-    def __init__(
-        self,
-        desc: KernelDescription,
-        sources: dict[Accessor, tuple[np.ndarray, int, int]],
-        rect: _RegionRect,
-    ):
-        self.desc = desc
-        self.sources = sources
-        self.rect = rect
-        self._memo: dict[int, np.ndarray] = {}
+    dst: int
+    fn: Optional[np.ufunc]
+    args: tuple[int, ...]
+    access: Optional[PixelAccess]
+    slab: int
+    free: tuple[int, ...]
 
-    def eval(self, expr: Expr) -> np.ndarray:
-        # Iterative post-order evaluation: a convolution over a large window
-        # is one add-chain as deep as the tap count, which overflows Python's
-        # recursion limit exactly in the small-image / large-window corner
-        # the border tests care about.
-        memo = self._memo
-        stack = [expr]
-        while stack:
-            node = stack[-1]
-            if id(node) in memo:
-                stack.pop()
-                continue
-            if isinstance(node, BinOp):
-                deps = (node.lhs, node.rhs)
-            elif isinstance(node, UnOp):
-                deps = (node.operand,)
+
+@dataclasses.dataclass(frozen=True)
+class _Program:
+    """A kernel expression lowered to a straight-line op list.
+
+    ``init`` seeds the value table: folded constants sit in their slots,
+    every other slot starts empty. ``result`` is the value the band writes
+    to the output; the op computing it writes there directly, a bare load
+    or constant is copied there.
+    """
+
+    expr: Expr
+    ops: tuple[_Op, ...]
+    init: tuple
+    n_slabs: int
+    result: int
+
+
+def _postorder(expr: Expr) -> list[Expr]:
+    """Every node once, operands before users (lhs subtree first).
+
+    Iterative, because a convolution over a large window is one add-chain
+    as deep as its tap count, which would overflow Python's recursion limit
+    exactly in the small-image / large-window corner the border tests probe.
+    """
+    order: list[Expr] = []
+    seen: set[int] = set()
+    stack: list[tuple[Expr, bool]] = [(expr, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if id(node) in seen:
+            continue
+        if expanded:
+            seen.add(id(node))
+            order.append(node)
+            continue
+        stack.append((node, True))
+        if isinstance(node, BinOp):
+            stack.append((node.rhs, False))
+            stack.append((node.lhs, False))
+        elif isinstance(node, UnOp):
+            stack.append((node.operand, False))
+    return order
+
+
+def _lower(expr: Expr) -> _Program:
+    """Lower ``expr`` to a :class:`_Program`.
+
+    Every node becomes the float32 ufunc a direct evaluation runs; where
+    all operands are constants the ufunc runs once, here, on NumPy
+    scalars. Lowered results are bit-identical to a direct evaluation.
+    Arena slabs are assigned by liveness: an op writes over the slab of an
+    operand that dies at it (elementwise ufuncs allow ``out`` to alias an
+    input exactly), else over any free slab.
+    """
+    values: list = []  # value slot -> folded scalar, or None
+    slot: dict[int, int] = {}
+    raw: list[tuple[int, Optional[np.ufunc], tuple[int, ...],
+                    Optional[PixelAccess]]] = []
+
+    def new_value(const=None) -> int:
+        values.append(const)
+        return len(values) - 1
+
+    def emit(fn: np.ufunc, args: tuple[int, ...]) -> int:
+        consts = [values[a] for a in args]
+        if all(c is not None for c in consts):
+            return new_value(fn(*consts))  # float32 scalars stay float32
+        dst = new_value()
+        raw.append((dst, fn, args, None))
+        return dst
+
+    for node in _postorder(expr):
+        if isinstance(node, Const):
+            slot[id(node)] = new_value(np.float32(node.value))
+        elif isinstance(node, PixelAccess):
+            slot[id(node)] = new_value()
+            raw.append((slot[id(node)], None, (), node))
+        elif isinstance(node, BinOp):
+            slot[id(node)] = emit(_BIN_FUNCS[node.op],
+                                  (slot[id(node.lhs)], slot[id(node.rhs)]))
+        elif isinstance(node, UnOp):
+            src = slot[id(node.operand)]
+            for fn, lead in _UN_STEPS[node.op]:
+                src = emit(fn, (src,) if lead is None
+                           else (new_value(lead), src))
+            slot[id(node)] = src
+        else:
+            raise TypeError(f"cannot evaluate {node!r}")
+
+    result = slot[id(expr)]
+    last_use: dict[int, int] = {}
+    for i, (_dst, _fn, args, _access) in enumerate(raw):
+        for a in args:
+            last_use[a] = i
+    loads = {dst for dst, _fn, _args, access in raw if access is not None}
+    slab_of: dict[int, int] = {}
+    free_slabs: list[int] = []
+    n_slabs = 0
+    ops = []
+    for i, (dst, fn, args, access) in enumerate(raw):
+        dying = sorted({a for a in args if last_use.get(a) == i})
+        released = [slab_of[a] for a in dying if a in slab_of]
+        slab = -1
+        if access is None and dst != result:
+            if released:
+                slab = released.pop(0)
+            elif free_slabs:
+                slab = free_slabs.pop()
             else:
-                deps = ()
-            pending = [d for d in deps if id(d) not in memo]
-            if pending:
-                stack.extend(pending)
-                continue
-            memo[id(node)] = self._eval_node(node)
-            stack.pop()
-        return memo[id(expr)]
+                slab = n_slabs
+                n_slabs += 1
+            slab_of[dst] = slab
+        free_slabs.extend(released)
+        ops.append(_Op(dst, fn, args, access, slab,
+                       tuple(a for a in dying if a in loads)))
+    return _Program(
+        expr=expr,
+        ops=tuple(ops),
+        init=tuple(values),
+        n_slabs=n_slabs,
+        result=result,
+    )
 
-    def _eval_node(self, expr: Expr) -> np.ndarray:
-        """Evaluate one node whose children are already memoized."""
-        if isinstance(expr, Const):
-            return np.float32(expr.value)
-        if isinstance(expr, BinOp):
-            lhs, rhs = self._memo[id(expr.lhs)], self._memo[id(expr.rhs)]
-            return _BIN_FUNCS[expr.op](lhs, rhs, dtype=np.float32)
-        if isinstance(expr, UnOp):
-            src = self._memo[id(expr.operand)]
-            return _UN_FUNCS[expr.op](src).astype(np.float32, copy=False)
-        if isinstance(expr, PixelAccess):
-            return self._eval_access(expr)
-        raise TypeError(f"cannot evaluate {expr!r}")
 
-    def _eval_access(self, access: PixelAccess) -> np.ndarray:
-        rect = self.rect
-        acc = access.accessor
-        arr, ox, oy = self.sources[acc]
-        boundary = acc.boundary
+def lower_kernel(desc: KernelDescription) -> _Program:
+    """The lowered program of ``desc``, built once and kept on it.
 
-        check_left = "left" in rect.checks and access.dx < 0
-        check_right = "right" in rect.checks and access.dx > 0
-        check_top = "top" in rect.checks and access.dy < 0
-        check_bottom = "bottom" in rect.checks and access.dy > 0
+    Staged, pre-padded and fused execution all run this one program; plan
+    build calls it so that no request pays for the lowering.
+    """
+    prog = desc.__dict__.get("_host_program")
+    if prog is None or prog.expr is not desc.expr:
+        prog = _lower(desc.expr)
+        desc._host_program = prog
+    return prog
 
-        if not any((check_left, check_right, check_top, check_bottom)):
-            # Body fast path: a pure slice — the host analogue of the
-            # check-free Body region code. The ellipsis carries any leading
-            # batch axes through untouched.
-            y0 = rect.y0 + access.dy - oy
-            y1 = rect.y1 + access.dy - oy
-            x0 = rect.x0 + access.dx - ox
-            x1 = rect.x1 + access.dx - ox
-            # Negative slice bounds would silently wrap to the array's far
-            # side; the source must cover every check-free read.
-            assert (0 <= y0 and y1 <= arr.shape[-2]
-                    and 0 <= x0 and x1 <= arr.shape[-1]), (
-                f"source under-covers {access!r}: "
-                f"[{y0}:{y1}, {x0}:{x1}] in {arr.shape[-2:]}"
-            )
-            return arr[..., y0:y1, x0:x1]
 
-        # Border mapping runs against the full image, then translates into
-        # the source array.
-        xs = np.arange(rect.x0 + access.dx, rect.x1 + access.dx)
-        ys = np.arange(rect.y0 + access.dy, rect.y1 + access.dy)
-        xs, vx = _map_axis(xs, self.desc.width, boundary,
-                           check_left, check_right)
-        ys, vy = _map_axis(ys, self.desc.height, boundary,
-                           check_top, check_bottom)
-        xs = xs - ox
-        ys = ys - oy
-        if boundary is not Boundary.UNDEFINED:
-            # A mapping applied on one side must never push the coordinate
-            # out the *opposite* side, and an axis the region does not check
-            # must already be in bounds — fancy indexing would silently wrap
-            # a violation to the wrong pixel instead of failing.
-            assert xs.size == 0 or (
-                xs.min() >= 0 and xs.max() < arr.shape[-1]
-            ), f"{boundary.value} x-mapping out of bounds for {access!r}"
-            assert ys.size == 0 or (
-                ys.min() >= 0 and ys.max() < arr.shape[-2]
-            ), f"{boundary.value} y-mapping out of bounds for {access!r}"
-        values = arr[..., ys[:, None], xs[None, :]]
-        if vx is not None or vy is not None:
-            valid = np.ones((ys.size, xs.size), dtype=bool)
-            if vy is not None:
-                valid &= vy[:, None]
-            if vx is not None:
-                valid &= vx[None, :]
-            values = np.where(
-                valid, values, np.float32(acc.constant)
-            ).astype(np.float32)
-        return values
+_ARENA = threading.local()
+
+
+def _arena(count: int, size: int) -> list[np.ndarray]:
+    """This thread's scratch slabs: at least ``count`` flat float32 arrays
+    of at least ``size`` elements. Slabs are reshaped per band, so the
+    arena grows only with a program's live-value count or a row wider than
+    one band, never with each new geometry."""
+    slabs = getattr(_ARENA, "slabs", None)
+    if slabs is None:
+        slabs = _ARENA.slabs = []
+    size = max(size, BAND_ELEMS)
+    for i, slab in enumerate(slabs[:count]):
+        if slab.size < size:
+            slabs[i] = np.empty(size, dtype=np.float32)
+    while len(slabs) < count:
+        slabs.append(np.empty(size, dtype=np.float32))
+    return slabs
+
+
+def _axis_index(
+    lo: int,
+    hi: int,
+    origin: int,
+    size: int,
+    extent: int,
+    boundary: Boundary,
+    check_low: bool,
+    check_high: bool,
+    access: PixelAccess,
+    axis: str,
+) -> tuple[object, Optional[np.ndarray]]:
+    """Source index along one axis for image coordinates ``[lo, hi)``.
+
+    Unchecked: a slice — the host analogue of check-free region code.
+    Checked: the coordinates mapped against the image ``size`` (validity
+    mask for CONSTANT), translated by the source ``origin``.
+    """
+    if not (check_low or check_high):
+        # Negative slice bounds would silently wrap to the array's far
+        # side; the source must cover every check-free read.
+        assert 0 <= lo - origin and hi - origin <= extent, (
+            f"source under-covers {access!r} {axis}: "
+            f"[{lo - origin}:{hi - origin}] in {extent}"
+        )
+        return slice(lo - origin, hi - origin), None
+    coords, valid = _map_axis(np.arange(lo, hi), size, boundary,
+                              check_low, check_high)
+    coords = coords - origin
+    if boundary is not Boundary.UNDEFINED:
+        # A mapping applied on one side must never push the coordinate out
+        # the *opposite* side — fancy indexing would silently wrap a
+        # violation to the wrong pixel instead of failing.
+        assert coords.size == 0 or (
+            coords.min() >= 0 and coords.max() < extent
+        ), f"{boundary.value} {axis}-mapping out of bounds for {access!r}"
+    return coords, valid
+
+
+def _load(
+    desc: KernelDescription,
+    sources: dict[Accessor, tuple[np.ndarray, int, int]],
+    rect: _RegionRect,
+    access: PixelAccess,
+) -> np.ndarray:
+    """Values of ``access`` over ``rect``: a view where no axis is checked,
+    else one or two 1-D axis takes (rows, then columns) of the source."""
+    acc = access.accessor
+    arr, ox, oy = sources[acc]
+    checks = rect.checks
+    shape = arr.shape
+    ys, vy = _axis_index(
+        rect.y0 + access.dy, rect.y1 + access.dy, oy, desc.height, shape[-2],
+        acc.boundary, "top" in checks and access.dy < 0,
+        "bottom" in checks and access.dy > 0, access, "y",
+    )
+    xs, vx = _axis_index(
+        rect.x0 + access.dx, rect.x1 + access.dx, ox, desc.width, shape[-1],
+        acc.boundary, "left" in checks and access.dx < 0,
+        "right" in checks and access.dx > 0, access, "x",
+    )
+    # The ellipsis carries any leading batch axes through untouched.
+    if isinstance(ys, slice) or isinstance(xs, slice):
+        values = arr[..., ys, xs]
+    else:
+        values = arr[..., ys, :][..., :, xs]
+    # Only a checked axis carries a mask, so ``values`` is a fresh gather.
+    fill = np.float32(acc.constant)
+    if vy is not None and not vy.all():
+        values[..., ~vy, :] = fill
+    if vx is not None and not vx.all():
+        values[..., :, ~vx] = fill
+    return values
 
 
 def _fill_rects(
@@ -375,15 +526,51 @@ def _fill_rects(
     out: np.ndarray,
     ox: int = 0,
     oy: int = 0,
-) -> None:
+) -> int:
     """Evaluate ``desc`` over every rect into ``out``, which holds output
-    pixel ``(x, y)`` at ``out[..., y - oy, x - ox]``."""
+    pixel ``(x, y)`` at ``out[..., y - oy, x - ox]``; returns the number
+    of bands run.
+
+    Each rect runs in row bands of at most :data:`BAND_ELEMS` elements
+    (batch axes included), so every temporary is one cache-sized arena
+    slab. Checks depend only on which true image borders a rect touches
+    and coordinates stay absolute, so banding never changes a bit.
+    """
+    prog = lower_kernel(desc)
+    ops, init, result = prog.ops, prog.init, prog.result
     lead = out.shape[:-2]
+    n_lead = math.prod(lead)
+    widest = max((r.x1 - r.x0 for r in rects), default=0)
+    slabs = _arena(prog.n_slabs, n_lead * widest)
+    bands = 0
     for rect in rects:
-        value = _RegionEvaluator(desc, sources, rect).eval(desc.expr)
-        out[..., rect.y0 - oy : rect.y1 - oy, rect.x0 - ox : rect.x1 - ox] = (
-            np.broadcast_to(value, (*lead, rect.y1 - rect.y0, rect.x1 - rect.x0))
-        )
+        if rect.empty:
+            continue
+        width = rect.x1 - rect.x0
+        step = max(1, BAND_ELEMS // max(1, n_lead * width))
+        for y0 in range(rect.y0, rect.y1, step):
+            band = _RegionRect(rect.x0, rect.x1, y0, min(y0 + step, rect.y1),
+                               rect.checks)
+            dest = out[..., band.y0 - oy : band.y1 - oy,
+                       band.x0 - ox : band.x1 - ox]
+            n = dest.size
+            views = [s[:n].reshape(dest.shape) for s in slabs[:prog.n_slabs]]
+            vals = list(init)
+            for dst, fn, args, access, slab, free in ops:
+                if access is not None:
+                    vals[dst] = _load(desc, sources, band, access)
+                    continue
+                target = dest if slab < 0 else views[slab]
+                if len(args) == 2:
+                    vals[dst] = fn(vals[args[0]], vals[args[1]], out=target)
+                else:
+                    vals[dst] = fn(vals[args[0]], out=target)
+                for j in free:
+                    vals[j] = None
+            if vals[result] is not dest:
+                dest[...] = vals[result]
+            bands += 1
+    return bands
 
 
 def _split_rows(rects: list[_RegionRect], tile_rows: int) -> list[_RegionRect]:
@@ -443,6 +630,14 @@ def _lead_shape(
     return lead if lead is not None else ()
 
 
+def _as_float32(image):
+    """``image`` as float32 — every host path evaluates in float32. Only
+    real arrays convert: the sanitizer's canary images are duck-typed."""
+    if isinstance(image, np.ndarray) and image.dtype != np.float32:
+        return image.astype(np.float32)
+    return image
+
+
 def _bind_inputs(
     pipeline: Pipeline, inputs: Optional[dict[str, np.ndarray]]
 ) -> dict[str, np.ndarray]:
@@ -474,10 +669,10 @@ def run_kernel_vectorized(
     each input's border once via :func:`repro.runtime.make_border
     .make_border`, then run the single check-free Body evaluator over the
     whole padded image with offset coordinates). ``tile_rows`` caps the
-    height of any evaluated rectangle (memory-bounded streaming for large
-    images); ``None`` evaluates each region in one shot.
+    height of any evaluated rectangle further; every rect already runs in
+    cache-sized row bands (:data:`BAND_ELEMS`), so ``None`` is the norm.
 
-    Inputs may carry leading batch axes — ``(N, H, W)`` stacks evaluate
+    Inputs evaluate as float32. They may carry leading batch axes — ``(N, H, W)`` stacks evaluate
     in one call and produce an ``(N, H, W)`` output (kernel-level
     batching). ``pad_cache``, when given, lets ``prepad`` reuse padded
     buffers across calls on the same source arrays (see
@@ -505,7 +700,8 @@ def run_kernel_vectorized(
     hx, hy = desc.extent
     lead = _lead_shape(images, [a.image.name for a in desc.accessors], h, w)
     out = np.empty((*lead, h, w), dtype=np.float32)
-    sources = {acc: (images[acc.image.name], 0, 0) for acc in desc.accessors}
+    sources = {acc: (_as_float32(images[acc.image.name]), 0, 0)
+               for acc in desc.accessors}
     checks = set()
     if hx > 0:
         checks |= {"left", "right"}
@@ -546,12 +742,13 @@ def run_kernel_vectorized(
         raise ValueError(f"unknown vectorized variant {variant!r}")
     if tile_rows is not None:
         rects = _split_rows(rects, tile_rows)
-    _fill_rects(desc, sources, rects, out)
+    bands = _fill_rects(desc, sources, rects, out)
     if trace_ctx is not None:
         tracer, parent = trace_ctx
         tracer.record_span(
             f"kernel:{desc.name}", parent, t_start, time.perf_counter(),
             variant=variant, tile_rows=tile_rows, regions=len(rects),
+            bands=bands, ops=len(lower_kernel(desc).ops),
         )
     return out
 

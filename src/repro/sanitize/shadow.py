@@ -15,9 +15,9 @@ missed still traps instead of silently corrupting pixels:
   kernels against *canary-padded* images: each buffer is embedded in a NaN
   ring wide enough to absorb any plausible coordinate error, so a mis-mapped
   coordinate reads NaN and poisons the output, which is then scanned.  The
-  region evaluator's own in-bounds assertions fire first, on fancy-indexed
-  border taps and check-free Body slices alike; the canary is the backstop
-  for any read they do not cover.
+  evaluator's own in-bounds assertions fire first, on border-mapped axis
+  takes and check-free Body slices alike; the canary is the backstop for
+  any read they do not cover.
   Inputs must be NaN-free for the scan to be meaningful (asserted).
 
 Both entry points return a :class:`ShadowReport` instead of raising, so the
@@ -77,26 +77,31 @@ def check_pipeline_simt(
 class _CanaryArray:
     """An image embedded in a NaN ring, indexable with original coordinates.
 
-    ``shape`` reports the unpadded extent; indexing (both the Body fast
-    path's slice pair and the border path's ``np.ix_`` pair) is translated by
-    the pad, so coordinates in ``[-pad, size + pad)`` resolve into the padded
-    backing array — in-bounds coordinates read real pixels, everything else
-    reads NaN.
+    ``shape`` reports the unpadded extent; every ``(..., rows, cols)`` index
+    the evaluator issues is translated by the pad, so coordinates in
+    ``[-pad, size + pad)`` resolve into the padded backing array — in-bounds
+    coordinates read real pixels, everything else reads NaN. Slices, 1-D
+    axis takes and the two-step gather ``[..., rows, :][..., :, cols]`` are
+    all covered: the row step returns a canary over the picked rows that
+    keeps the column ring, so the column step lands on canaries too.
     """
 
     def __init__(self, array: np.ndarray, pad: int):
         array = np.asarray(array, dtype=np.float32)
-        self.pad = pad
         self.shape = array.shape
         self._backing = np.pad(
             array, pad, mode="constant", constant_values=np.float32(np.nan)
         )
+        self._pads = (pad, pad)
 
-    def _translate(self, key):
+    @staticmethod
+    def _translate(key, pad: int, size: int):
         if isinstance(key, slice):
-            # Evaluator slices always carry concrete start/stop.
-            return slice(key.start + self.pad, key.stop + self.pad, key.step)
-        return np.asarray(key) + self.pad
+            # Evaluator slices carry concrete bounds, or are a whole axis.
+            start = 0 if key.start is None else key.start
+            stop = size if key.stop is None else key.stop
+            return slice(start + pad, stop + pad, key.step)
+        return np.asarray(key) + pad
 
     def __getitem__(self, key):
         assert isinstance(key, tuple), key
@@ -105,7 +110,17 @@ class _CanaryArray:
             # always 2-D, so the leading ellipsis selects nothing
             key = key[1:]
         assert len(key) == 2, key
-        return self._backing[self._translate(key[0]), self._translate(key[1])]
+        rows, cols = key
+        (py, px), (h, w) = self._pads, self.shape
+        rows = self._translate(rows, py, h)
+        if isinstance(cols, slice) and cols == slice(None):
+            # first step of a two-step gather
+            view = object.__new__(_CanaryArray)
+            view._backing = self._backing[rows]
+            view.shape = (view._backing.shape[0], w)
+            view._pads = (0, px)
+            return view
+        return self._backing[rows, self._translate(cols, px, w)]
 
 
 def check_pipeline_vectorized(

@@ -112,7 +112,8 @@ class Request:
     constant: float = 0.0
     #: wall-clock budget in seconds, measured from enqueue; None = unlimited
     timeout_s: Optional[float] = None
-    #: row-band height for tiled evaluation; None = engine decides
+    #: explicit row-band height cap for the vectorized evaluator; None =
+    #: its built-in cache-sized bands only
     tile_rows: Optional[int] = None
     request_id: int = dataclasses.field(default_factory=lambda: next(_REQUEST_IDS))
 
@@ -276,8 +277,6 @@ class ServeEngine:
         device: DeviceSpec = GTX680,
         block: tuple[int, int] = (32, 4),
         default_timeout_s: Optional[float] = None,
-        tile_threshold_rows: int = 1024,
-        tile_rows: int = 256,
         sanitize_plans: bool = True,
         kernel_batching: bool = True,
         metrics: Optional[MetricsRegistry] = None,
@@ -299,8 +298,6 @@ class ServeEngine:
         self.batch_size = batch_size
         self.queue_depth = queue_depth
         self.default_timeout_s = default_timeout_s
-        self.tile_threshold_rows = tile_threshold_rows
-        self.tile_rows = tile_rows
         self.sanitize_plans = sanitize_plans
         self.kernel_batching = kernel_batching
         self.retries = retries
@@ -594,13 +591,6 @@ class ServeEngine:
 
     # ------------------------------------------------------------ execution
 
-    def _tile_rows_for(self, request: Request) -> Optional[int]:
-        if request.tile_rows is not None:
-            return request.tile_rows
-        if request.image.shape[0] >= self.tile_threshold_rows:
-            return self.tile_rows
-        return None
-
     def _execute(
         self, plan: ExecutionPlan, pending: _Pending, response: Response
     ) -> np.ndarray:
@@ -658,7 +648,7 @@ class ServeEngine:
                         for name, var, prof in collect
                     ]
                 return output
-        return plan.execute(request.image, tile_rows=self._tile_rows_for(request))
+        return plan.execute(request.image, tile_rows=request.tile_rows)
 
     def _execute_simt_with_timeout(
         self,

@@ -34,7 +34,7 @@ from ..compiler.isp import CompileError, Variant
 from ..compiler.regions import RegionGeometry
 from ..dsl.boundary import Boundary
 from ..gpu.device import DeviceSpec, GTX680
-from ..runtime.vectorized import run_kernel_vectorized
+from ..runtime.vectorized import lower_kernel, run_kernel_vectorized
 
 #: Variant policies a plan can be built with (mirrors the measurement
 #: harness, plus the warp-grained shape of paper Listing 5, the raw-speed
@@ -440,6 +440,10 @@ def build_plan(
     fused_plan = None
     if variant == "fused":
         fused_plan = fuse_descs(descs, name=app)
+    # Every host path (staged, prepad, fused) runs the lowered program kept
+    # on each description; lowering here keeps it off the request path.
+    for desc in descs:
+        lower_kernel(desc)
 
     return ExecutionPlan(
         key=key,
